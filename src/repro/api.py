@@ -38,7 +38,6 @@ engine                    what runs
 from __future__ import annotations
 
 import contextlib
-import os
 import warnings
 from dataclasses import dataclass
 from typing import (
@@ -75,6 +74,7 @@ from repro.runtime.guard import (
     SiteLedger,
 )
 from repro.runtime.trace import (
+    NULL_TRACER,
     Tracer,
     current_tracer,
     note,
@@ -178,12 +178,6 @@ class CertifyOptions:
     ``memoize_transfers``
         cache TVLA transfer results per (action, canonical-key) so
         revisited structures skip focus/update/coerce;
-    ``packed``
-        run the TVLA engines over the packed bitset state kernel
-        (:mod:`repro.logic.packed`) instead of dict-of-tuples
-        structures.  ``None`` (the default) defers to the
-        ``REPRO_PACKED`` environment variable; alarm sets and emitted
-        certificates are byte-identical either way.
 
     Resource governance (see :mod:`repro.runtime.guard`):
 
@@ -220,7 +214,6 @@ class CertifyOptions:
     max_structures: Optional[int] = None
     ladder: Union[None, bool, Tuple[str, ...]] = None
     emit_certificate: bool = False
-    packed: Optional[bool] = None
     #: parent :class:`~repro.cert.ConformanceCertificate` to recertify
     #: incrementally from (see :mod:`repro.incr`).  Deliberately *not*
     #: part of the recorded options payload or the fingerprint: an
@@ -236,16 +229,6 @@ class CertifyOptions:
     #: byte-identical to the cold one, so the database is an execution
     #: strategy, not a semantic option.
     summary_db: Optional[str] = None
-
-
-def packed_enabled(options: Optional[CertifyOptions] = None) -> bool:
-    """Whether the packed state kernel is active for these options.
-
-    An explicit ``CertifyOptions(packed=...)`` wins; otherwise the
-    ``REPRO_PACKED`` environment variable decides (default: off)."""
-    if options is not None and options.packed is not None:
-        return bool(options.packed)
-    return os.environ.get("REPRO_PACKED", "") in ("1", "true", "yes")
 
 
 class CertifySession:
@@ -403,11 +386,10 @@ class CertifySession:
         caches keyed by interned formula and are shared by every engine
         constructed over this TVP.
         """
-        packed = packed_enabled(self.options)
 
         def build():
             tvp = specialized_translation(inlined, abstraction)
-            packed_kernel.precompile_tvp(tvp, packed=packed)
+            packed_kernel.precompile_tvp(tvp)
             return tvp
 
         return _identity_memo(
@@ -651,7 +633,8 @@ class CertifySession:
                     source=source_key,
                     report=report,
                 )
-                meta["bytes"] = len(report.certificate.text())
+                if current_tracer() is not NULL_TRACER:
+                    meta["bytes"] = len(report.certificate.text())
         return report
 
     def artifacts(self, program: Program, engine: str, source_key=None) -> dict:
@@ -677,7 +660,6 @@ class CertifySession:
             abstraction = self.abstraction()
             tvp = self._specialize_tvp(inlined, abstraction)
             mode = engine.split("-", 1)[1]
-            packed = packed_enabled(options)
             engine_obj = _identity_memo(
                 self._engine_by_obj,
                 tvp,
@@ -686,7 +668,6 @@ class CertifySession:
                     options.prune_requires,
                     options.worklist,
                     options.memoize_transfers,
-                    packed,
                 ),
                 lambda: TvlaEngine(
                     tvp,
@@ -694,7 +675,6 @@ class CertifySession:
                     prune_requires=options.prune_requires,
                     worklist=options.worklist,
                     memoize_transfers=options.memoize_transfers,
-                    packed=packed,
                 ),
             )
             return {
@@ -735,7 +715,10 @@ class CertifySession:
                 arts=arts,
                 capture=capture,
             )
-            meta["bytes"] = len(certificate.text())
+            # only a tracer reads this: untraced runs skip the
+            # whole-document render
+            if current_tracer() is not NULL_TRACER:
+                meta["bytes"] = len(certificate.text())
         report.certificate = certificate
 
     def _run_engine(

@@ -20,7 +20,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api import CertifyOptions, CertifySession
+from repro.api import CertifyOptions, CertifySession, _identity_memo
+from repro.cert import model
+from repro.cert.check import CertificateChecker
 from repro.easl.library import cmp_spec
 from repro.easl.spec import ComponentSpec
 from repro.lang.types import Program, parse_program
@@ -32,6 +34,7 @@ from repro.runtime import (
     use_tracer,
 )
 from repro.suite import BenchmarkProgram, all_programs
+from repro.tvla.engine import TvlaEngine
 
 #: engines applicable to shallow (SCMP) clients
 SHALLOW_ENGINES = (
@@ -417,7 +420,9 @@ def run_comparison(
 # answers depending on what a deployment amortizes:
 #
 # * **cold** — first certification in a fresh session (front-half caches
-#   warmed so the number isolates the engine, matching ``run_comparison``).
+#   warmed so the number isolates the engine, matching ``run_comparison``;
+#   specialization precompiles packed formulas only, so the dict
+#   reference compiles its own on its first run).
 # * **steady** — fresh-engine steady state: the per-session engine cache
 #   is dropped before every run, so each rep rebuilds the fixpoint from
 #   scratch over warm compiled formulas.  This is the state-kernel-bound
@@ -636,13 +641,49 @@ class PackedComparisonResult:
         return "\n".join(lines)
 
 
+class DictReferenceSession(CertifySession):
+    """A session whose TVLA engines run the dict reference
+    representation (``TvlaEngine(packed=False)``) in place of the packed
+    kernel: the other side of every packed-vs-dict equality check.
+    Everything else — parsing, derivation, specialization, emission —
+    is the production session's."""
+
+    def artifacts(self, program, engine, source_key=None):
+        arts = super().artifacts(program, engine, source_key)
+        packed = arts.get("engine_obj")
+        if packed is not None:
+            arts["engine_obj"] = _identity_memo(
+                self._engine_by_obj,
+                packed,
+                "dict-reference",
+                lambda: TvlaEngine(
+                    packed.tvp,
+                    mode=packed.mode,
+                    prune_requires=packed.prune_requires,
+                    worklist=packed.worklist_order,
+                    memoize_transfers=packed.memoize_transfers,
+                    packed=False,
+                ),
+            )
+        return arts
+
+
+class DictReferenceChecker(CertificateChecker):
+    """A checker that replays TVLA certificates on the dict reference:
+    pools decode through the reference codec and transfers run on
+    :class:`DictReferenceSession` engines."""
+
+    session_type = DictReferenceSession
+    decode_structure = staticmethod(model.structure_from_json)
+
+
 def _packed_sessions(spec, options):
     base = options or CertifyOptions()
-    dict_session = CertifySession(
-        spec, engine="tvla-relational", options=replace(base, packed=False)
+    dict_session = DictReferenceSession(
+        spec, engine="tvla-relational", options=base
     )
     packed_session = CertifySession(
-        spec, engine="tvla-relational", options=replace(base, packed=True)
+        spec, engine="tvla-relational", options=base
     )
     return dict_session, packed_session
 
@@ -669,24 +710,20 @@ def _time_steady(
     return best, report
 
 
-def _certificate_text(spec, source: str, packed: bool) -> str:
-    session = CertifySession(
+def _certificate_text(session_type, spec, source: str) -> str:
+    session = session_type(
         spec,
         engine="tvla-relational",
-        options=CertifyOptions(packed=packed, emit_certificate=True),
+        options=CertifyOptions(emit_certificate=True),
     )
     report = session.certify(source)
     return report.certificate.text()
 
 
-def _capture_structures(spec, source: str, packed: bool, limit: int = 200):
+def _capture_structures(session_type, spec, source: str, limit: int = 200):
     """Engine-visited structures (post-transfer outputs) plus the
     abstraction predicates, for the kernel-op microbenchmarks."""
-    session = CertifySession(
-        spec,
-        engine="tvla-relational",
-        options=CertifyOptions(packed=packed),
-    )
+    session = session_type(spec, engine="tvla-relational")
     program = parse_program(source, spec)
     engine = session.artifacts(program, "tvla-relational")["engine_obj"]
     structures: list = []
@@ -720,8 +757,8 @@ def _kernel_op_rows(
     from repro.logic.kleene import HALF
 
     rows: List[KernelOpRow] = []
-    dict_structs, preds = _capture_structures(spec, source, packed=False)
-    packed_structs, _ = _capture_structures(spec, source, packed=True)
+    dict_structs, preds = _capture_structures(DictReferenceSession, spec, source)
+    packed_structs, _ = _capture_structures(CertifySession, spec, source)
     if not dict_structs or not packed_structs:
         return rows
 
@@ -795,21 +832,20 @@ def _kernel_op_rows(
 
 
 def _checker_row(spec, program_name: str, source: str) -> Dict[str, object]:
-    """Time CertificateChecker replay over the same certificate with
-    both structure representations.  The verdict must be identical —
-    packed only changes replay speed — so ``alarms_equal`` here records
+    """Time certificate replay over the same certificate with both
+    structure representations (the production checker and the dict
+    reference checker).  The verdict must be identical — packed only
+    changes replay speed — so ``alarms_equal`` here records
     cross-acceptance: the packed-emitted certificate checks clean under
     both replays."""
-    from repro.cert.check import CertificateChecker
-
-    text = _certificate_text(spec, source, packed=True)
+    text = _certificate_text(CertifySession, spec, source)
     import json as _json
 
     payload = _json.loads(text)
     timings: Dict[bool, float] = {}
     verdicts: Dict[bool, bool] = {}
     for packed in (False, True):
-        checker = CertificateChecker(packed=packed)
+        checker = CertificateChecker() if packed else DictReferenceChecker()
         checker.check(payload, spec=spec)  # warm the checker's caches
         started = time.perf_counter()
         result = checker.check(payload, spec=spec)
@@ -845,7 +881,6 @@ def _batch_row(
             spec=spec_name,
             source=source,
             engine="tvla-relational",
-            options=CertifyOptions(packed=True),
         )
         for name, source in sources
     ]
@@ -992,8 +1027,8 @@ def run_packed_comparison(
             packed_report
         )
         certs_identical = _certificate_text(
-            spec, source, packed=False
-        ) == _certificate_text(spec, source, packed=True)
+            DictReferenceSession, spec, source
+        ) == _certificate_text(CertifySession, spec, source)
         rows.append(
             PackedComparisonRow(
                 program=name,

@@ -54,21 +54,19 @@ DEFAULT_FAMILIES = tuple(sorted(SCALE_FAMILIES))
 DEFAULT_ENGINES = ("interproc",)
 
 
-def host_meta(packed: Optional[bool] = None) -> Dict[str, object]:
+def host_meta() -> Dict[str, object]:
     """Uniform per-document host metadata for committed BENCH files.
 
-    ``packed`` is the structure-representation default in effect for the
-    run; ``None`` means the ambient ``REPRO_PACKED`` resolution."""
+    ``packed`` records the TVLA state representation: always the packed
+    kernel now (older BENCH files carry ``false`` for dict-kernel runs)."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # pragma: no cover - non-linux fallback
         cpus = os.cpu_count() or 1
-    if packed is None:
-        packed = os.environ.get("REPRO_PACKED", "") not in ("", "0")
     return {
         "host_cpus": cpus,
         "python_version": platform.python_version(),
-        "packed": bool(packed),
+        "packed": True,
     }
 
 

@@ -43,7 +43,6 @@ from repro.generic_analysis.framework import (
     _transfer as generic_transfer,
 )
 from repro.runtime.trace import phase
-from repro.logic import packed as packed_kernel
 from repro.tvla.engine import _alarm_list
 
 
@@ -92,11 +91,12 @@ class CertificateChecker:
     so checking a batch of certificates against one spec derives once.
     """
 
-    def __init__(self, packed: Optional[bool] = None) -> None:
-        #: structure-representation preference for replaying transfers;
-        #: ``None`` defers to ``REPRO_PACKED``.  The verdict is identical
-        #: either way — packed only changes how fast the replay runs.
-        self.packed = packed
+    #: session type and TVLA pool decoder; the dict reference checker
+    #: of ``repro bench --packed-compare`` swaps in reference versions
+    session_type = CertifySession
+    decode_structure = staticmethod(model.planes_from_json)
+
+    def __init__(self) -> None:
         self._specs: Dict[str, ComponentSpec] = {}
         self._sessions: Dict[Tuple[str, str], CertifySession] = {}
         # parse/transform/derivation results are deterministic functions
@@ -126,14 +126,13 @@ class CertificateChecker:
     def _session(self, spec: ComponentSpec, opts: Dict[str, object]):
         key = (spec.name, model.canonical_text(opts))
         if key not in self._sessions:
-            self._sessions[key] = CertifySession(
+            self._sessions[key] = self.session_type(
                 spec,
                 options=CertifyOptions(
                     entry=opts.get("entry"),
                     prune_requires=bool(opts.get("prune_requires", True)),
                     inline_depth=int(opts.get("inline_depth", 12)),
                     worklist=str(opts.get("worklist", "rpo")),
-                    packed=self.packed,
                 ),
             )
         return self._sessions[key]
@@ -578,19 +577,11 @@ class CertificateChecker:
         # the checker recomputes canonical keys itself from the decoded
         # pool (canonicalizing defensively): internal consistency, never
         # trust recorded keys
+        decode = self.decode_structure
         pool = [
-            model.structure_from_json(entry)
+            decode(entry).canonicalize(preds)
             for entry in annotation.get("pool", [])
         ]
-        if engine_obj.packed:
-            # re-encode into the packed representation so replayed
-            # transfers and key comparisons run on the same kernel the
-            # engine uses; keys from mixed representations never meet
-            pool = [
-                packed_kernel.PackedStructure.from_dense(structure)
-                for structure in pool
-            ]
-        pool = [structure.canonicalize(preds) for structure in pool]
         keys = [structure.canonical_key(preds) for structure in pool]
         valid_nodes = set(tvp.nodes())
         alarms: Dict[Tuple[int, str], object] = {}

@@ -22,6 +22,7 @@ emission runs produce byte-identical certificates.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List
 
 from repro.cert import model
@@ -117,14 +118,25 @@ def _tvla_annotation(arts, result) -> Dict[str, object]:
     tvp = arts["tvp"]
     preds = engine_obj.abstraction_preds
     cfg_preds = _edge_preds(tvp.edges)
+    if engine_obj.packed:
+        encode = functools.partial(model.planes_to_json, rows={})
+    else:
+        # the dict reference engine (tests, --packed-compare) serializes
+        # through the reference codec; both write the same bytes
+        encode = model.structure_to_json
     pool = Pool()
     if arts["mode"] == "relational":
+        # bucket keys are complete canonical keys, so a structure that
+        # recurs across nodes is serialized once per certificate
+        pool_id: Dict[object, int] = {}
         raw_sets: Dict[int, set] = {}
         for node, bucket in result.node_states.items():
-            raw_sets[node] = {
-                pool.add(model.structure_to_json(structure, preds))
-                for structure in bucket.values()
-            }
+            node_ids = raw_sets[node] = set()
+            for key, structure in bucket.items():
+                i = pool_id.get(key)
+                if i is None:
+                    i = pool_id[key] = pool.add(encode(structure, preds))
+                node_ids.add(i)
         entries, remap = pool.finish()
         id_sets = {
             node: frozenset(remap[i] for i in ids)
@@ -137,7 +149,7 @@ def _tvla_annotation(arts, result) -> Dict[str, object]:
             "nodes": model.encode_int_sets(id_sets, cfg_preds),
         }
     raw_ids = {
-        node: pool.add(model.structure_to_json(structure, preds))
+        node: pool.add(encode(structure, preds))
         for node, structure in result.node_single.items()
     }
     entries, remap = pool.finish()

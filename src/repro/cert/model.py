@@ -21,6 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.certifier.report import Alarm
 from repro.logic.kleene import Kleene
+from repro.logic.packed import PackedStructure
 from repro.tvla.three_valued import ThreeValuedStructure
 
 CERT_FORMAT = "repro-cert"
@@ -342,6 +343,143 @@ def structure_from_json(payload: Mapping[str, object]) -> ThreeValuedStructure:
             structure.set(pred, (nodes[i],), Kleene(value))
         for pred, i, j, value in payload["binary"]:
             structure.set(pred, (nodes[i], nodes[j]), Kleene(value))
+        return structure
+    except CertificateError:
+        raise
+    except (TypeError, ValueError, KeyError, IndexError) as exc:
+        raise CertificateError(f"malformed structure: {exc}") from exc
+
+
+# The plane codec below is the production form of the codec above: the
+# engines run on :class:`~repro.logic.packed.PackedStructure`, and
+# certificates are written and read straight from its bit planes.  The
+# dict functions stay as the reference the plane codec is tested
+# against (byte-identical output, identical decoding).
+
+#: Kleene value int -> plane code, mirroring ``Kleene(value)``'s lookup
+#: (a bad value raises ``KeyError`` where ``Kleene`` raises ``ValueError``)
+_PLANE_CODE = {0: 0, 1: 1, 2: 2}
+
+
+def _plane_rows(pred: str, t: int, h: int, shift: Optional[int]) -> List[List[object]]:
+    """Serialized entries of one predicate's planes, in ascending bit
+    order: ``[pred, n, code]`` (unary, ``shift`` None) or ``[pred, n1,
+    n2, code]`` (binary)."""
+    rows: List[List[object]] = []
+    rest = t | h
+    if shift is None:
+        while rest:
+            low = rest & -rest
+            rows.append([pred, low.bit_length() - 1, 1 if t & low else 2])
+            rest ^= low
+        return rows
+    column = (1 << shift) - 1
+    while rest:
+        low = rest & -rest
+        pos = low.bit_length() - 1
+        rows.append([pred, pos >> shift, pos & column, 1 if t & low else 2])
+        rest ^= low
+    return rows
+
+
+def planes_to_json(
+    structure: PackedStructure, preds, rows: Optional[Dict[tuple, list]] = None
+) -> Dict[str, object]:
+    """:func:`structure_to_json`, read off the planes of ``structure``.
+
+    Renumbering into canonical-key order (a no-op on the canonicalized
+    structures the engine produces) makes node ``i`` serialization index
+    ``i``; walking each plane's set bits in ascending order then yields
+    the entries already sorted, so nothing is sorted but predicate names.
+
+    ``rows`` memoizes each predicate's entries by plane value across the
+    calls that share it (one certificate): structures of one fixpoint
+    repeat most planes, so their entries are built — and allocated —
+    once.  The entry lists are then shared; never mutate them in place.
+    """
+    if rows is None:
+        rows = {}
+    structure = structure.vector_ordered(preds)
+    k = len(structure.nodes)
+    summary = structure.summary
+    nullary = sorted(
+        [pred, value._value_]
+        for pred, value in structure.nullary.items()
+        if value._value_ != 0
+    )
+    tables: List[List[List[object]]] = []
+    for planes_t, planes_h, shift in (
+        (structure.u_t, structure.u_h, None),
+        (structure.b_t, structure.b_h, structure.shift),
+    ):
+        table: List[List[object]] = []
+        for pred in sorted(planes_t.keys() | planes_h.keys()):
+            t = planes_t.get(pred, 0)
+            h = planes_h.get(pred, 0)
+            if not (t | h):
+                continue
+            key = (pred, t, h, shift)
+            entries = rows.get(key)
+            if entries is None:
+                entries = rows[key] = _plane_rows(pred, t, h, shift)
+            table.extend(entries)
+        tables.append(table)
+    return {
+        "nodes": k,
+        "summary": [1 if summary[n] else 0 for n in range(k)],
+        "nullary": nullary,
+        "unary": tables[0],
+        "binary": tables[1],
+    }
+
+
+def planes_from_json(payload: Mapping[str, object]) -> PackedStructure:
+    """:func:`structure_from_json`, decoding straight into planes.
+
+    Accepts and rejects exactly what the dict decoder does, and entries
+    apply in order with the last write to a tuple winning, so a
+    certificate decodes to the same structure either way."""
+    try:
+        structure = PackedStructure()
+        nodes = [
+            structure.new_node(summary=bool(bit)) for bit in payload["summary"]
+        ]
+        if len(nodes) != payload["nodes"]:
+            raise CertificateError("structure node count disagrees with summary bits")
+        for pred, value in payload["nullary"]:
+            structure.set(pred, (), Kleene(value))
+        shift = structure.shift
+        for planes_t, planes_h, entries in (
+            (
+                structure.u_t,
+                structure.u_h,
+                ((pred, 1 << nodes[i], value) for pred, i, value in payload["unary"]),
+            ),
+            (
+                structure.b_t,
+                structure.b_h,
+                (
+                    (pred, 1 << ((nodes[i] << shift) | nodes[j]), value)
+                    for pred, i, j, value in payload["binary"]
+                ),
+            ),
+        ):
+            for pred, bit, value in entries:
+                code = _PLANE_CODE[value]
+                if code == 1:
+                    planes_t[pred] = planes_t.get(pred, 0) | bit
+                    cleared = planes_h
+                elif code == 2:
+                    planes_h[pred] = planes_h.get(pred, 0) | bit
+                    cleared = planes_t
+                else:
+                    plane = planes_t.get(pred, 0)
+                    if plane & bit:
+                        planes_t[pred] = plane ^ bit
+                    cleared = planes_h
+                plane = cleared.get(pred, 0)
+                if plane & bit:
+                    cleared[pred] = plane ^ bit
         return structure
     except CertificateError:
         raise

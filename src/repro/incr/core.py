@@ -44,7 +44,6 @@ from repro.incr.dirty import (
 )
 from repro.lang.types import parse_program
 from repro.logic import compile as formula_compile
-from repro.logic import packed as packed_kernel
 from repro.runtime.trace import note, phase
 from repro.tvla.engine import TvlaSeed
 
@@ -286,16 +285,11 @@ def _recertify_tvla(session, arts, parent_arts, annotation, governor, cache):
     if cached is None:
         try:
             pool = [
-                model.structure_from_json(entry)
+                model.planes_from_json(entry)
                 for entry in annotation.get("pool", [])
             ]
         except Exception:
             raise _Fallback("annotation-decode")
-        if engine_obj.packed:
-            pool = [
-                packed_kernel.PackedStructure.from_dense(structure)
-                for structure in pool
-            ]
         pool = [structure.canonicalize(preds) for structure in pool]
         keys = [structure.canonical_key(preds) for structure in pool]
         cache["tvla_pool"] = (pool, keys)

@@ -30,11 +30,14 @@ protocol, but atoms test plane bits and quantifiers over recognizable
 bodies (unary literals and conjunctions of them, binary rows) collapse
 into whole-universe mask tests instead of per-node loops.
 
-``PackedStructure`` subclasses ``ThreeValuedStructure`` — the recursive
+This is the only runtime representation of TVLA state.  The dict
+:class:`~repro.tvla.three_valued.ThreeValuedStructure` survives as the
+reference that differential tests and ``repro bench --packed-compare``
+compare against.  ``PackedStructure`` subclasses it — the recursive
 interpreter ``_eval``, which only goes through ``get``/``summary``/
 ``nodes``, is inherited, and ``unary``/``binary`` are materializing
-properties so the certificate codec (:mod:`repro.cert.model`) serializes
-packed and dict structures to byte-identical JSON.
+views — but certificates are written and read straight from the planes
+(:func:`repro.cert.model.planes_to_json` / :func:`~repro.cert.model.planes_from_json`).
 """
 
 from __future__ import annotations
@@ -124,8 +127,9 @@ class PackedStructure(ThreeValuedStructure):
 
     Drop-in for :class:`ThreeValuedStructure` everywhere the engine,
     certificate codec and checker touch structures; the engines pick the
-    representation once per run (``TvlaEngine(packed=True)``) and every
-    derived structure stays packed.
+    representation once per run (packed unless a test builds the dict
+    reference with ``TvlaEngine(packed=False)``) and every derived
+    structure stays packed.
     """
 
     packed = True
@@ -211,7 +215,8 @@ class PackedStructure(ThreeValuedStructure):
         while node >= (1 << new_shift):
             new_shift += 1
         old_width = 1 << old_shift
-        row_mask = old_width - 1
+        # a row holds ``old_width`` bits (one per column node)
+        row_mask = (1 << old_width) - 1
         for planes in (self.b_t, self.b_h):
             for pred, plane in planes.items():
                 spread = 0
@@ -220,7 +225,7 @@ class PackedStructure(ThreeValuedStructure):
                     chunk = plane & row_mask
                     if chunk:
                         spread |= chunk << (row << new_shift)
-                    plane >>= old_shift
+                    plane >>= old_width
                     row += 1
                 planes[pred] = spread
         self._shift = new_shift
@@ -360,28 +365,6 @@ class PackedStructure(ThreeValuedStructure):
         return self._eval(formula, env or {})
 
     # -- canonical abstraction ---------------------------------------------------
-
-    def _vector_codes(
-        self, node: int, abstraction_preds: List[str]
-    ) -> Tuple[int, ...]:
-        """Per-node abstraction vector as plane codes (0/1/2 = Kleene)."""
-        bit = 1 << node
-        u_t = self.u_t
-        u_h = self.u_h
-        return tuple(
-            1
-            if u_t.get(p, 0) & bit
-            else (2 if u_h.get(p, 0) & bit else 0)
-            for p in abstraction_preds
-        )
-
-    def canonical_vector(
-        self, node: int, abstraction_preds: List[str]
-    ) -> Tuple[Kleene, ...]:
-        return tuple(
-            _KLEENE_BY_CODE[c]
-            for c in self._vector_codes(node, abstraction_preds)
-        )
 
     def _node_blocks(self, abstraction_preds: List[str]) -> List[int]:
         """Ordered partition of the universe into equal-vector blocks.
@@ -648,6 +631,49 @@ class PackedStructure(ThreeValuedStructure):
 
     # -- canonical naming / comparison -------------------------------------------
 
+    @property
+    def shift(self) -> int:
+        """log2 of the binary-plane node stride: pair ``(n1, n2)`` is
+        bit ``(n1 << shift) | n2``."""
+        return self._shift
+
+    def _vector_order(self, abstraction_preds: List[str]) -> List[int]:
+        """Nodes in canonical-key order.
+
+        Block order = vector order; within a block (equal vectors)
+        non-summary nodes sort before summary ones, ties keep ascending
+        node ids — the same total order as the dict path's stable sort
+        on (canonical_vector, summary).
+        """
+        order: List[int] = []
+        summary = self.summary
+        for mask in self._node_blocks(abstraction_preds):
+            if mask & (mask - 1):
+                members: List[int] = []
+                while mask:
+                    low = mask & -mask
+                    members.append(low.bit_length() - 1)
+                    mask ^= low
+                order.extend(n for n in members if not summary[n])
+                order.extend(n for n in members if summary[n])
+            else:
+                order.append(mask.bit_length() - 1)
+        return order
+
+    def vector_ordered(self, abstraction_preds: List[str]) -> "PackedStructure":
+        """This structure with nodes renumbered ``0..k-1`` in
+        canonical-key order (``self`` when they already are), so node
+        ``i`` is the ``i``-th node of the certificate serialization."""
+        if self._vec_ordered is not None and self._vec_ordered == tuple(
+            abstraction_preds
+        ):
+            return self
+        order = self._vector_order(abstraction_preds)
+        for i, node in enumerate(order):
+            if i != node:
+                return self._renumbered(order)
+        return self
+
     def _canonical_key(self, abstraction_preds: List[str]):
         """Integer-plane canonical key (cheap to build and to hash).
 
@@ -683,23 +709,7 @@ class PackedStructure(ThreeValuedStructure):
                     len(self.nodes),
                 )
             )
-        # block order = vector order; within a block (equal vectors)
-        # non-summary nodes sort before summary ones, ties keep
-        # ascending node ids — the same total order as the dict path's
-        # stable sort on (canonical_vector, summary)
-        order: List[int] = []
-        summary = self.summary
-        for mask in self._node_blocks(abstraction_preds):
-            if mask & (mask - 1):
-                members: List[int] = []
-                while mask:
-                    low = mask & -mask
-                    members.append(low.bit_length() - 1)
-                    mask ^= low
-                order.extend(n for n in members if not summary[n])
-                order.extend(n for n in members if summary[n])
-            else:
-                order.append(mask.bit_length() - 1)
+        order = self._vector_order(abstraction_preds)
         k = len(order)
         identity = True
         for i, node in enumerate(order):
@@ -1752,28 +1762,25 @@ def packed_cache_stats() -> Dict[str, int]:
     }
 
 
-def precompile_tvp(tvp, packed: bool = False) -> int:
+def precompile_tvp(tvp) -> int:
     """Compile every formula a TVP's actions will evaluate.
 
     Called at specialize time so first-certification ("cold") runs do
     not pay compile + interning inside the measured fixpoint; the
     compiled closures live in the process-wide caches, shared by every
     engine constructed over this TVP.  Returns the formula count."""
-    compile_one = (
-        compile_packed_formula if packed else formula_compile.compile_formula
-    )
     count = 0
     for edge in tvp.edges:
         action = edge.action
         for f in action.focus:
-            compile_one(f)
+            compile_packed_formula(f)
             count += 1
         for check in action.checks:
-            compile_one(check.cond)
+            compile_packed_formula(check.cond)
             count += 1
         for update in action.updates:
-            compile_one(update.rhs)
-            if packed and update.vars:
+            compile_packed_formula(update.rhs)
+            if update.vars:
                 compile_update_plane(update.rhs, tuple(update.vars))
             count += 1
     return count

@@ -321,17 +321,10 @@ def _init_shard_worker(recipe_blob: Optional[bytes]) -> None:
     _SHARD_CTX = (arts["engine_obj"], shard_plan(arts["tvp"]))
 
 
-def _decode_structures(entries, engine_obj, preds):
+def _decode_structures(entries, preds):
     from repro.cert import model
-    from repro.logic import packed as packed_kernel
 
-    out = []
-    for entry in entries:
-        structure = model.structure_from_json(entry)
-        if engine_obj.packed:
-            structure = packed_kernel.PackedStructure.from_dense(structure)
-        out.append(structure.canonicalize(preds))
-    return out
+    return [model.planes_from_json(entry).canonicalize(preds) for entry in entries]
 
 
 def _worker_solve(item: Tuple[int, List[Tuple[int, List[dict]]]]):
@@ -353,13 +346,13 @@ def _worker_solve(item: Tuple[int, List[Tuple[int, List[dict]]]]):
         seeds = {
             node: {
                 s.canonical_key(preds): s
-                for s in _decode_structures(entries, engine_obj, preds)
+                for s in _decode_structures(entries, preds)
             }
             for node, entries in seeds_json
         }
     else:
         seeds = {
-            node: _decode_structures(entries, engine_obj, preds)[0]
+            node: _decode_structures(entries, preds)[0]
             for node, entries in seeds_json
         }
     boundary, alarms, iterations, max_structures = _solve_shard(
@@ -368,14 +361,14 @@ def _worker_solve(item: Tuple[int, List[Tuple[int, List[dict]]]]):
     if engine_obj.mode == "relational":
         boundary_json = {
             dst: [
-                model.structure_to_json(s, preds)
+                model.planes_to_json(s, preds)
                 for s in bucket.values()
             ]
             for dst, bucket in boundary.items()
         }
     else:
         boundary_json = {
-            dst: [model.structure_to_json(s, preds)]
+            dst: [model.planes_to_json(s, preds)]
             for dst, s in boundary.items()
         }
     alarm_rows = [
@@ -473,8 +466,8 @@ def certify_sharded(
         pending: Dict[int, Dict[str, dict]] = {
             tvp.entry: {
                 model.canonical_text(
-                    model.structure_to_json(initial, preds)
-                ): model.structure_to_json(initial, preds)
+                    model.planes_to_json(initial, preds)
+                ): model.planes_to_json(initial, preds)
             }
         }
         alarms: Dict[Tuple[int, str], object] = {}
@@ -577,25 +570,25 @@ def _merge_alarm_rows(alarms, rows) -> None:
 
 def _join_pending_single(pending, dst, entry, preds) -> None:
     """Independent mode: join one boundary structure into the pending
-    entry state for ``dst`` (dict representation; re-serialized on the
-    way to the consuming shard)."""
+    entry state for ``dst`` (re-serialized on the way to the consuming
+    shard)."""
     from repro.cert import model
 
-    incoming = model.structure_from_json(entry).canonicalize(preds)
+    incoming = model.planes_from_json(entry).canonicalize(preds)
     bucket = pending.get(dst)
     if not bucket:
         pending[dst] = {
             model.canonical_text(
-                model.structure_to_json(incoming, preds)
-            ): model.structure_to_json(incoming, preds)
+                model.planes_to_json(incoming, preds)
+            ): model.planes_to_json(incoming, preds)
         }
         return
     (_, existing_json), = list(bucket.items())
-    existing = model.structure_from_json(existing_json).canonicalize(preds)
+    existing = model.planes_from_json(existing_json).canonicalize(preds)
     merged = type(existing).join(existing, incoming, preds).canonicalize(
         preds
     )
-    merged_json = model.structure_to_json(merged, preds)
+    merged_json = model.planes_to_json(merged, preds)
     pending[dst] = {model.canonical_text(merged_json): merged_json}
 
 

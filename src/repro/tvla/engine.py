@@ -112,7 +112,7 @@ class TvlaEngine:
         iteration_budget: int = 200_000,
         worklist: str = "rpo",
         memoize_transfers: bool = True,
-        packed: bool = False,
+        packed: bool = True,
     ) -> None:
         if mode not in ("relational", "independent"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -124,6 +124,9 @@ class TvlaEngine:
         self.iteration_budget = iteration_budget
         self.worklist_order = worklist
         self.memoize_transfers = memoize_transfers
+        #: state representation: the packed kernel; ``packed=False``
+        #: builds the dict reference that differential tests and
+        #: ``repro bench --packed-compare`` compare against
         self.packed = packed
         self.abstraction_preds = tvp.abstraction_predicates()
         #: (action identity, input canonical key) ->

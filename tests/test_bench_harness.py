@@ -123,16 +123,13 @@ class TestPackedComparison:
 
 class TestPackedFuzzOracle:
     def test_campaign_is_sound_under_packed(self):
-        """The differential fuzz oracle with the packed kernel active:
-        no engine may miss a concretely-witnessed error (satellite #3's
-        REPRO_PACKED=1 fuzz gate, in-process)."""
-        from repro.api import CertifyOptions
+        """The differential fuzz oracle on the packed kernel: no engine
+        may miss a concretely-witnessed error."""
         from repro.fuzz.diff import run_campaign
 
         result = run_campaign(
             seeds=range(0, 6),
             engines=("tvla-relational",),
-            options=CertifyOptions(packed=True),
         )
         assert result.ok, [f.seed for f in result.failures]
         assert result.seeds_run == list(range(0, 6))

@@ -92,6 +92,60 @@ class TestPhaseTracing:
         assert validate_trace_record({"phase": "x", "seconds": 1}) != []
 
 
+class TestEmitPhaseBytes:
+    """The emit phase's ``bytes`` is a whole-certificate render; only a
+    tracer reads it, so untraced certification must not pay for it."""
+
+    @staticmethod
+    def _count_text_calls(monkeypatch):
+        from repro.cert.model import ConformanceCertificate
+
+        calls = []
+        original = ConformanceCertificate.text
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(ConformanceCertificate, "text", counting)
+        return calls
+
+    @staticmethod
+    def _certify(engine="fds", **options):
+        from repro.api import CertifyOptions, CertifySession
+        from repro.easl.library import cmp_spec
+        from repro.suite import by_name
+
+        session = CertifySession(
+            cmp_spec(),
+            engine=engine,
+            options=CertifyOptions(emit_certificate=True, **options),
+        )
+        return session.certify(by_name("fig3").source)
+
+    @pytest.mark.parametrize("engine", ["fds", "tvla-relational"])
+    def test_null_tracer_never_renders_certificate(self, monkeypatch, engine):
+        calls = self._count_text_calls(monkeypatch)
+        report = self._certify(engine)
+        assert report.certificate is not None
+        assert calls == []
+
+    def test_partial_certificate_not_rendered_untraced(self, monkeypatch):
+        calls = self._count_text_calls(monkeypatch)
+        report = self._certify(
+            "tvla-relational", max_steps=1, ladder=("tvla-relational",)
+        )
+        assert report.certificate.partial
+        assert calls == []
+
+    def test_collecting_tracer_receives_bytes(self):
+        tracer = CollectingTracer()
+        with use_tracer(tracer):
+            report = self._certify()
+        (event,) = [e for e in tracer.events if e.phase == "emit"]
+        assert event.meta["bytes"] == len(report.certificate.text())
+
+
 class TestLRUCache:
     def test_hit_miss_counters(self):
         cache = LRUCache(maxsize=4, name="t")

@@ -1,12 +1,14 @@
-"""The packed bitset state kernel (PR 7).
+"""The packed bitset state kernel.
 
 Differential property tests: a :class:`PackedStructure` built from any
 dense :class:`ThreeValuedStructure` must be observationally identical —
 same ``get`` tables, same formula valuations, same join, and the same
-canonical-abstraction partition — because the engine switches between
-the two representations on a flag (``CertifyOptions(packed=...)`` /
-``REPRO_PACKED``) and every downstream artifact (alarms, certificates)
-must be byte-identical either way.
+canonical-abstraction partition.  The packed kernel is the only runtime
+representation; the dict structure and ``TvlaEngine(packed=False)`` are
+the reference it is compared against, and every downstream artifact
+(alarms, certificates, checker verdicts) must be identical either way.
+The plane certificate codec is compared against the reference codec
+byte for byte.
 """
 
 import pickle
@@ -14,7 +16,11 @@ import random
 
 import pytest
 
-from repro.api import CertifyOptions, CertifySession, packed_enabled
+from repro.api import CertifyOptions, CertifySession
+from repro.bench.harness import DictReferenceChecker, DictReferenceSession
+from repro.bench.synthetic import make_heap_client
+from repro.cert import model
+from repro.cert.check import CertificateChecker
 from repro.easl.library import cmp_spec
 from repro.lang.types import parse_program
 from repro.logic.formula import (
@@ -152,6 +158,20 @@ class TestPackedDifferential:
                 assert packed.eval(formula, dict(env)) is dense.eval(
                     formula, dict(env)
                 ), f"disagree on {formula}"
+
+    def test_new_node_past_stride_preserves_binary_planes(self):
+        """Growing the universe past the binary stride re-spreads every
+        binary plane row by row (regression: rows were cut to
+        ``shift`` bits, corrupting structures of more than 16 nodes)."""
+        rng = random.Random(41)
+        for _ in range(30):
+            dense = random_dense(rng, max_nodes=16)
+            packed = PackedStructure.from_dense(dense).copy()
+            for _ in range(rng.randrange(1, 20)):
+                summary = rng.random() < 0.5
+                dense.new_node(summary)
+                packed.new_node(summary)
+            assert_same_tables(dense, packed)
 
     def test_join_agrees(self):
         rng = random.Random(17)
@@ -336,78 +356,186 @@ def _signature(report):
 
 
 class TestEngineEquivalence:
+    """The production session against the dict reference session
+    (``TvlaEngine(packed=False)`` behind the same front end)."""
+
     @pytest.mark.parametrize("engine", ["tvla-relational", "tvla-independent"])
     def test_alarms_identical_across_representations(self, engine):
         spec = cmp_spec()
         reports = {}
-        for packed in (False, True):
-            session = CertifySession(
+        for session_type in (DictReferenceSession, CertifySession):
+            session = session_type(spec, engine=engine)
+            program = parse_program(LOOP_CLIENT, spec)
+            reports[session_type] = session.certify_program(program)
+        assert _signature(reports[DictReferenceSession]) == _signature(
+            reports[CertifySession]
+        )
+        assert reports[CertifySession].alarms  # the client genuinely alarms
+
+    @staticmethod
+    def _certificate_texts(engine, source):
+        spec = cmp_spec()
+        return [
+            session_type(
                 spec,
                 engine=engine,
-                options=CertifyOptions(packed=packed),
-            )
-            program = parse_program(LOOP_CLIENT, spec)
-            reports[packed] = session.certify_program(program)
-        assert _signature(reports[False]) == _signature(reports[True])
-        assert reports[False].alarms  # the client genuinely alarms
+                options=CertifyOptions(emit_certificate=True),
+            ).certify(source).certificate.text()
+            for session_type in (DictReferenceSession, CertifySession)
+        ]
 
     def test_certificates_byte_identical(self):
-        spec = cmp_spec()
-        texts = {}
-        for packed in (False, True):
-            session = CertifySession(
-                spec,
-                engine="tvla-relational",
-                options=CertifyOptions(
-                    packed=packed, emit_certificate=True
-                ),
-            )
-            texts[packed] = session.certify(
-                LOOP_CLIENT
-            ).certificate.text()
-        assert texts[False] == texts[True]
+        reference, packed = self._certificate_texts(
+            "tvla-relational", LOOP_CLIENT
+        )
+        assert reference == packed
+
+    def test_certificates_byte_identical_past_binary_stride(self):
+        """Focus and allocation grow this client's structures past 16
+        nodes, where the packed binary planes re-spread to a wider
+        stride."""
+        reference, packed = self._certificate_texts(
+            "tvla-independent", make_heap_client(4, 4, 2, 2)
+        )
+        assert reference == packed
 
     def test_checker_cross_accepts_packed_certificate(self):
-        from repro.cert.check import CertificateChecker
-
+        """Certificates emitted by either representation check clean
+        under either replay."""
         spec = cmp_spec()
-        session = CertifySession(
-            spec,
-            engine="tvla-relational",
-            options=CertifyOptions(packed=True, emit_certificate=True),
-        )
-        certificate = session.certify(LOOP_CLIENT).certificate
-        for checker_packed in (False, True):
-            result = CertificateChecker(packed=checker_packed).check(
-                certificate, spec=spec
-            )
-            assert result.ok, result.detail
-
-    def test_engine_structures_are_packed_when_enabled(self):
-        spec = cmp_spec()
-        session = CertifySession(
-            spec,
-            engine="tvla-relational",
-            options=CertifyOptions(packed=True),
-        )
-        program = parse_program(LOOP_CLIENT, spec)
-        engine = session.artifacts(program, "tvla-relational")[
-            "engine_obj"
+        certificates = [
+            session_type(
+                spec,
+                engine="tvla-relational",
+                options=CertifyOptions(emit_certificate=True),
+            ).certify(LOOP_CLIENT).certificate
+            for session_type in (DictReferenceSession, CertifySession)
         ]
+        for checker in (DictReferenceChecker(), CertificateChecker()):
+            for certificate in certificates:
+                result = checker.check(certificate, spec=spec)
+                assert result.ok, result.detail
+
+    def test_engine_structures_are_packed(self):
+        spec = cmp_spec()
+        program = parse_program(LOOP_CLIENT, spec)
+        engine = CertifySession(spec, engine="tvla-relational").artifacts(
+            program, "tvla-relational"
+        )["engine_obj"]
         assert engine.packed
         assert engine.initial_structure().packed
+        reference = DictReferenceSession(
+            spec, engine="tvla-relational"
+        ).artifacts(program, "tvla-relational")["engine_obj"]
+        assert not reference.packed
+        assert not reference.initial_structure().packed
 
 
-class TestReproPackedEnv:
-    def test_env_flag_enables_packed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PACKED", "1")
-        assert packed_enabled(None)
-        assert packed_enabled(CertifyOptions())
-        monkeypatch.setenv("REPRO_PACKED", "0")
-        assert not packed_enabled(CertifyOptions())
+def _assert_plane_codec_matches_reference(packed, dense, preds):
+    """(a) the plane encoder writes the reference encoder's bytes for
+    the dict form; (b) plane decoding rebuilds the same tables as the
+    reference decoder, and its canonical key round-trips."""
+    entry = model.planes_to_json(packed, preds)
+    assert model.canonical_text(entry) == model.canonical_text(
+        model.structure_to_json(dense, preds)
+    )
+    decoded = model.planes_from_json(entry)
+    assert model.canonical_text(
+        model.planes_to_json(decoded, preds)
+    ) == model.canonical_text(entry)
+    reference = PackedStructure.from_dense(model.structure_from_json(entry))
+    assert list(decoded.nodes) == list(reference.nodes)
+    assert decoded.canonical_key(preds) == reference.canonical_key(preds)
+    assert decoded.canonicalize(preds).canonical_key(
+        preds
+    ) == packed.canonicalize(preds).canonical_key(preds)
 
-    def test_explicit_option_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PACKED", "1")
-        assert not packed_enabled(CertifyOptions(packed=False))
-        monkeypatch.setenv("REPRO_PACKED", "0")
-        assert packed_enabled(CertifyOptions(packed=True))
+
+class TestPlaneCodec:
+    def test_random_canonicalized_structures(self):
+        rng = random.Random(43)
+        preds = list(UNARY_PREDS)
+        for _ in range(60):
+            # up to 20 nodes: exercises the grown binary stride too
+            dense = random_dense(rng, max_nodes=20).canonicalize(preds)
+            packed = PackedStructure.from_dense(dense).canonicalize(preds)
+            _assert_plane_codec_matches_reference(packed, dense, preds)
+
+    def test_random_uncanonicalized_structures(self):
+        """Structures off the vector order are renumbered first."""
+        rng = random.Random(47)
+        preds = list(UNARY_PREDS)
+        for _ in range(40):
+            dense = random_dense(rng, max_nodes=8)
+            packed = PackedStructure.from_dense(dense)
+            entry = model.planes_to_json(packed, preds)
+            assert model.canonical_text(entry) == model.canonical_text(
+                model.structure_to_json(dense, preds)
+            )
+
+    def test_heap_design_pools(self):
+        """Every pool entry of the benchmark's heap clients: the plane
+        codec and the reference codec agree byte for byte."""
+        from perfbench.config import HEAP_DESIGN
+
+        spec = cmp_spec()
+        session = CertifySession(
+            spec,
+            engine="tvla-relational",
+            options=CertifyOptions(emit_certificate=True),
+        )
+        entries = 0
+        for params in HEAP_DESIGN:
+            source = make_heap_client(*params)
+            program = parse_program(source, spec)
+            preds = session.artifacts(program, "tvla-relational")[
+                "engine_obj"
+            ].abstraction_preds
+            pool = session.certify(source).certificate.payload["annotation"][
+                "pool"
+            ]
+            for entry in pool:
+                dense = model.structure_from_json(entry)
+                packed = model.planes_from_json(entry).canonicalize(preds)
+                _assert_plane_codec_matches_reference(packed, dense, preds)
+                assert model.canonical_text(
+                    model.planes_to_json(packed, preds)
+                ) == model.canonical_text(entry)
+            entries += len(pool)
+        assert entries > len(HEAP_DESIGN)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda e: e.update(nodes=e["nodes"] + 1),
+            lambda e: e["unary"].append(["a", 99, 1]),
+            lambda e: e["binary"].append(["r", 0, 99, 2]),
+            lambda e: e["unary"].append(["a", 0, 3]),
+            lambda e: e["nullary"].append(["p", "1"]),
+            lambda e: e.pop("binary"),
+        ],
+    )
+    def test_malformed_entries_rejected_like_reference(self, mutate):
+        dense = ThreeValuedStructure()
+        for _ in range(2):
+            dense.new_node()
+        entry = model.structure_to_json(dense, list(UNARY_PREDS))
+        mutate(entry)
+        with pytest.raises(model.CertificateError):
+            model.structure_from_json(entry)
+        with pytest.raises(model.CertificateError):
+            model.planes_from_json(entry)
+
+    def test_later_entries_overwrite_earlier_like_reference(self):
+        entry = {
+            "nodes": 2,
+            "summary": [0, 1],
+            "nullary": [["p", 1], ["p", 0], ["q", 2]],
+            "unary": [["a", 0, 1], ["a", 0, 2], ["b", 1, 1], ["b", 1, 0]],
+            "binary": [["r", 0, 1, 2], ["r", 0, 1, 1], ["r", -1, 0, 1]],
+        }
+        reference = model.structure_from_json(entry)
+        decoded = model.planes_from_json(entry)
+        for pred in NULLARY_PREDS:
+            assert decoded.get(pred, ()) is reference.get(pred, ())
+        assert_same_tables(reference, decoded)

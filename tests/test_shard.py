@@ -8,7 +8,8 @@ end-to-end equality on branchy and loop-heavy clients.
 
 import pytest
 
-from repro.api import CertifyOptions, CertifySession
+from repro.api import CertifySession
+from repro.bench.harness import DictReferenceSession
 from repro.bench.synthetic import make_heap_client
 from repro.easl.library import cmp_spec
 from repro.lang.types import parse_program
@@ -87,18 +88,17 @@ class TestShardedEquality:
     @pytest.mark.parametrize("packed", [False, True])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sharded_matches_sequential(self, packed, workers):
+        """Sharded runs (packed) against the sequential packed engine
+        and the sequential dict reference."""
         spec = cmp_spec()
-        options = CertifyOptions(packed=packed)
-        session = CertifySession(
-            spec, engine="tvla-relational", options=options
-        )
+        session_type = CertifySession if packed else DictReferenceSession
+        session = session_type(spec, engine="tvla-relational")
         program = parse_program(BRANCHY_CLIENT, spec)
         sequential = session.certify_program(program)
         sharded = certify_sharded(
             spec,
             BRANCHY_CLIENT,
             engine="tvla-relational",
-            options=options,
             workers=workers,
         )
         assert _signature(sharded.report) == _signature(sequential)
@@ -108,17 +108,13 @@ class TestShardedEquality:
     def test_loop_heavy_client_matches(self):
         spec = cmp_spec()
         source = make_heap_client(2, 2, 2, 2)
-        options = CertifyOptions(packed=True)
-        session = CertifySession(
-            spec, engine="tvla-relational", options=options
-        )
+        session = CertifySession(spec, engine="tvla-relational")
         program = parse_program(source, spec)
         sequential = session.certify_program(program)
         sharded = certify_sharded(
             spec,
             source,
             engine="tvla-relational",
-            options=options,
             workers=2,
         )
         assert _signature(sharded.report) == _signature(sequential)
