@@ -2049,6 +2049,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"\n{stats.families} families, {stats.wp_calls} WP calls, "
             f"{stats.equivalence_checks} equivalence checks, "
+            f"{stats.sat_queries} satisfiability queries "
+            f"({stats.sat_memo_hits} memo hits), "
             f"{stats.elapsed_seconds:.2f}s"
         )
         return 0

@@ -43,7 +43,7 @@ from repro.derivation.predicates import (
 )
 from repro.easl.spec import ComponentSpec, Operation
 from repro.easl.wp import operation_preconditions, wp_operation
-from repro.logic.decision import equivalent, normalize_to_minimal_dnf
+from repro.logic.decision import AliasSolver
 from repro.logic.formula import (
     FALSE,
     TRUE,
@@ -67,6 +67,8 @@ class DerivationStats:
     iterations: int = 0
     wp_calls: int = 0
     equivalence_checks: int = 0
+    sat_queries: int = 0
+    sat_memo_hits: int = 0
     update_cases: int = 0
     identity_cases: int = 0
     check_instances: int = 0
@@ -258,6 +260,7 @@ class _Deriver:
             op.key: OperationAbstraction(op) for op in spec.operations()
         }
         self._ops = spec.operations()
+        self.solver = AliasSolver()
 
     # -- family management ---------------------------------------------------
 
@@ -265,7 +268,7 @@ class _Deriver:
         self.stats.equivalence_checks += 1
         if self.decision == "syntactic":
             return _canonical_dnf_key(lhs) == _canonical_dnf_key(rhs)
-        return equivalent(lhs, rhs)
+        return self.solver.equivalent(lhs, rhs)
 
     def match(self, disjunct: Formula) -> Optional[Tuple[Family, Tuple[Base, ...]]]:
         bases = free_bases(disjunct)
@@ -330,7 +333,9 @@ class _Deriver:
         self, formula: Formula, assumption: Formula
     ) -> List[Formula]:
         if self.minimize:
-            disjuncts = normalize_to_minimal_dnf(formula, assumption)
+            disjuncts = self.solver.normalize_to_minimal_dnf(
+                formula, assumption
+            )
         else:
             disjuncts = absorb(to_dnf(formula))
         if not self.split and len(disjuncts) > 1:
@@ -439,12 +444,16 @@ def derive(
                 deriver.match_or_create(make_eq(lhs, rhs))
         deriver.close()
         deriver.stats.families = len(deriver.families)
+        deriver.stats.sat_queries = deriver.solver.queries
+        deriver.stats.sat_memo_hits = deriver.solver.memo_hits
         deriver.stats.elapsed_seconds = time.perf_counter() - started
         trace_meta.update(
             families=deriver.stats.families,
             iterations=deriver.stats.iterations,
             wp_calls=deriver.stats.wp_calls,
             equivalence_checks=deriver.stats.equivalence_checks,
+            sat_queries=deriver.stats.sat_queries,
+            sat_memo_hits=deriver.stats.sat_memo_hits,
         )
     return DerivedAbstraction(
         spec, deriver.families, deriver.operations, deriver.stats

@@ -16,14 +16,17 @@ the weakest-precondition computation from blowing up syntactically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Tuple
+from typing import Any, Callable, Iterator, Tuple
 
-from repro.logic.terms import Base, Term
+from repro.logic.terms import Base, Node, Term
+
+_set = object.__setattr__
 
 
-class Formula:
+class Formula(Node):
     """Base class for all formula nodes."""
+
+    __slots__ = ()
 
     def __and__(self, other: "Formula") -> "Formula":
         return conj(self, other)
@@ -35,11 +38,17 @@ class Formula:
         return neg(self)
 
 
-@dataclass(frozen=True)
 class Truth(Formula):
     """A propositional constant."""
 
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        _set(self, "value", value)
+        _set(self, "_hash", hash((value,)))
+
+    def _astuple(self) -> Tuple[Any, ...]:
+        return (self.value,)
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
@@ -49,7 +58,6 @@ TRUE = Truth(True)
 FALSE = Truth(False)
 
 
-@dataclass(frozen=True)
 class EqAtom(Formula):
     """Equality between two access-path terms.
 
@@ -57,14 +65,20 @@ class EqAtom(Formula):
     that syntactically-identical atoms compare equal.
     """
 
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "_hash", hash((lhs, rhs)))
+
+    def _astuple(self) -> Tuple[Any, ...]:
+        return (self.lhs, self.rhs)
 
     def __str__(self) -> str:
         return f"{self.lhs} == {self.rhs}"
 
 
-@dataclass(frozen=True)
 class PredAtom(Formula):
     """Application ``name(args)`` of a first-order predicate.
 
@@ -72,8 +86,15 @@ class PredAtom(Formula):
     (the boolean variables of the SCMP abstraction) have ``args == ()``.
     """
 
-    name: str
-    args: Tuple[str, ...] = ()
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: Tuple[str, ...] = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((name, args)))
+
+    def _astuple(self) -> Tuple[Any, ...]:
+        return (self.name, self.args)
 
     def __str__(self) -> str:
         if not self.args:
@@ -81,43 +102,73 @@ class PredAtom(Formula):
         return f"{self.name}({', '.join(self.args)})"
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = ("body",)
+
+    def __init__(self, body: Formula) -> None:
+        _set(self, "body", body)
+        _set(self, "_hash", hash((body,)))
+
+    def _astuple(self) -> Tuple[Any, ...]:
+        return (self.body,)
 
     def __str__(self) -> str:
         return f"!({self.body})"
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    args: Tuple[Formula, ...]
+    __slots__ = ("args",)
+
+    def __init__(self, args: Tuple[Formula, ...]) -> None:
+        _set(self, "args", args)
+        _set(self, "_hash", hash((args,)))
+
+    def _astuple(self) -> Tuple[Any, ...]:
+        return (self.args,)
 
     def __str__(self) -> str:
         return "(" + " && ".join(str(a) for a in self.args) + ")"
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    args: Tuple[Formula, ...]
+    __slots__ = ("args",)
+
+    def __init__(self, args: Tuple[Formula, ...]) -> None:
+        _set(self, "args", args)
+        _set(self, "_hash", hash((args,)))
+
+    def _astuple(self) -> Tuple[Any, ...]:
+        return (self.args,)
 
     def __str__(self) -> str:
         return "(" + " || ".join(str(a) for a in self.args) + ")"
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    var: str
-    body: Formula
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula) -> None:
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "_hash", hash((var, body)))
+
+    def _astuple(self) -> Tuple[Any, ...]:
+        return (self.var, self.body)
 
     def __str__(self) -> str:
         return f"(exists {self.var}: {self.body})"
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
-    var: str
-    body: Formula
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula) -> None:
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "_hash", hash((var, body)))
+
+    def _astuple(self) -> Tuple[Any, ...]:
+        return (self.var, self.body)
 
     def __str__(self) -> str:
         return f"(forall {self.var}: {self.body})"
@@ -264,9 +315,32 @@ def map_atoms(formula: Formula, fn: Callable[[Formula], Formula]) -> Formula:
 
 
 def substitute_atom(formula: Formula, atom: Formula, value: bool) -> Formula:
-    """Replace one atom by a truth constant and fold."""
-    replacement = TRUE if value else FALSE
-    return map_atoms(formula, lambda a: replacement if a == atom else a)
+    """Replace one atom by a truth constant and fold.
+
+    Subtrees without ``atom`` are returned as they are rather than rebuilt,
+    which keeps the DPLL search of :mod:`repro.logic.decision` from
+    copying the whole formula at every node.
+    """
+    return _substitute(formula, atom, TRUE if value else FALSE)
+
+
+def _substitute(formula: Formula, atom: Formula, value: Truth) -> Formula:
+    kind = formula.__class__
+    if kind is EqAtom or kind is PredAtom:
+        return value if formula == atom else formula
+    if kind is And or kind is Or:
+        old = formula.args
+        new = [_substitute(arg, atom, value) for arg in old]
+        if all(n is o for n, o in zip(new, old)):
+            return formula
+        return conj(*new) if kind is And else disj(*new)
+    if kind is Not:
+        body = _substitute(formula.body, atom, value)
+        return formula if body is formula.body else neg(body)
+    if kind is Exists or kind is Forall:
+        body = _substitute(formula.body, atom, value)
+        return formula if body is formula.body else kind(formula.var, body)
+    return formula
 
 
 def is_literal(formula: Formula) -> bool:

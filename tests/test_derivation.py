@@ -7,6 +7,7 @@ and Section 2.2 coverage.
 
 import pytest
 
+from repro.cert.model import abstraction_hash
 from repro.derivation import (
     DerivationDiverged,
     GenArg,
@@ -15,7 +16,14 @@ from repro.derivation import (
     derive,
 )
 from repro.derivation.predicates import instance_pattern
-from repro.easl.library import aop_spec, grp_spec, imp_spec
+from repro.easl.library import (
+    aop_spec,
+    available_specs,
+    get_spec,
+    grp_spec,
+    imp_spec,
+)
+from repro.runtime.trace import CollectingTracer, use_tracer
 
 
 def _is_identity(family):
@@ -224,3 +232,95 @@ class TestInstancePattern:
         )
         assert pattern == (GenArg(0), GenArg(1), GenArg(0))
         assert slots == {0: "a", 1: "b"}
+
+
+# (spec, identity_families) -> (abstraction_hash, families, wp_calls,
+# equivalence_checks).  Any change to the decision procedures, the
+# weakest-precondition calculus or the fixpoint that alters what is derived
+# shows up here; a faster procedure must reproduce these exactly.
+GOLDEN_DERIVATIONS = {
+    ("aop", False): (
+        "4607732980d280e9cf6867fb6e112c6c6a1dbf9b99f60e418d81c1e761911dec",
+        2, 54, 33,
+    ),
+    ("aop", True): (
+        "bed4718f234ffc2ce3b8b33c2178e08e6b75afb56f65ef952d2af9b3f4a1fa7d",
+        4, 120, 101,
+    ),
+    ("cmp", False): (
+        "a03064f2cb4efe6df63fed0096d3f9697692573084b7e2fc12edfe9b1b5ed846",
+        4, 131, 83,
+    ),
+    ("cmp", True): (
+        "b24dfb0ccead9f36e0af93146938e1ab950df729aeaecd98f454d7458e51fd3d",
+        6, 209, 164,
+    ),
+    ("grp", False): (
+        "57f2c630ef91f7ea5d406d55822efcc7aa44e5fed58c68d02c49e56a42d4be7b",
+        3, 66, 42,
+    ),
+    ("grp", True): (
+        "3436695c5734ae8480c298040cc1ebb500ee2e5cd87a8609e09ea7d77905b812",
+        5, 126, 69,
+    ),
+    ("imp", False): (
+        "e67b148c42cc615392b28f6ec314bef7391d8bd824557526be5de4fdda0235d3",
+        4, 114, 82,
+    ),
+    ("imp", True): (
+        "3591233c5d388db9a19b96c2960d99304efe054c2666da3cbf283d2546a9e896",
+        7, 228, 189,
+    ),
+}
+
+
+class TestGoldenDerivations:
+    def test_every_registered_spec_is_pinned(self):
+        assert {name for name, _ in GOLDEN_DERIVATIONS} == set(
+            available_specs()
+        )
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_DERIVATIONS))
+    def test_derivation_matches_golden(self, key):
+        name, identity = key
+        abstraction = derive(get_spec(name), identity_families=identity)
+        stats = abstraction.stats
+        assert (
+            abstraction_hash(abstraction),
+            stats.families,
+            stats.wp_calls,
+            stats.equivalence_checks,
+        ) == GOLDEN_DERIVATIONS[key]
+
+
+class TestSatisfiabilityCounters:
+    @pytest.mark.parametrize("name", ["cmp", "imp"])
+    def test_counters_repeat_exactly(self, name):
+        first = derive(get_spec(name)).stats
+        second = derive(get_spec(name)).stats
+        assert (first.sat_queries, first.sat_memo_hits) == (
+            second.sat_queries,
+            second.sat_memo_hits,
+        )
+        # the memo belongs to one derivation: a second run starts cold
+        # and so repeats the same hits instead of answering everything
+        assert 0 < first.sat_memo_hits < first.sat_queries
+
+    def test_counters_in_trace_meta(self, cmp_specification):
+        tracer = CollectingTracer()
+        with use_tracer(tracer):
+            abstraction = derive(cmp_specification)
+        (event,) = [e for e in tracer.events if e.phase == "derive"]
+        assert event.meta["sat_queries"] == abstraction.stats.sat_queries
+        assert event.meta["sat_memo_hits"] == abstraction.stats.sat_memo_hits
+
+    def test_counters_in_cli_summary(self, capsys):
+        from repro.cli import main
+
+        assert main(["--show-abstraction", "--spec", "cmp"]) == 0
+        summary = capsys.readouterr().out.strip().splitlines()[-1]
+        stats = derive(get_spec("cmp")).stats
+        assert (
+            f"{stats.sat_queries} satisfiability queries "
+            f"({stats.sat_memo_hits} memo hits)"
+        ) in summary

@@ -1,8 +1,10 @@
 """Property-based tests on the logic substrate (hypothesis).
 
 Random quantifier-free formulas over a small set of access-path atoms are
-checked for: NNF/DNF meaning preservation, decision-procedure consistency
-with brute-force model enumeration, and minimization soundness.
+checked for: NNF/DNF meaning preservation, decision-procedure agreement
+with brute-force enumeration of concrete interpretations, and
+minimization soundness.  The interpretations are built independently of
+the decision procedure, so they check it rather than restate it.
 """
 
 import itertools
@@ -20,15 +22,21 @@ from repro.logic.formula import (
     neg,
 )
 from repro.logic.normal import to_dnf, to_nnf
-from repro.logic.terms import Base, Field
+from repro.logic.terms import Base, Field, Fresh
 
-# a tiny vocabulary of atoms over two variables and one field
+# a tiny vocabulary: two variables, one fresh token, one field, and a
+# two-field path, so both congruence and the fresh-token axioms matter
 _A = Base("a", "T")
 _B = Base("b", "T")
+_NU = Fresh("n", "T")
+_AF = Field(_A, "f")
 _ATOMS = [
     eq(_A, _B),
-    eq(Field(_A, "f"), Field(_B, "f")),
-    eq(Field(_A, "f"), _B),
+    eq(_AF, Field(_B, "f")),
+    eq(_AF, _B),
+    eq(Field(_AF, "f"), _B),
+    eq(_NU, _AF),
+    eq(Field(_NU, "f"), _A),
 ]
 
 
@@ -45,24 +53,50 @@ def _formulas(depth: int = 3) -> st.SearchStrategy:
     )
 
 
-def _models():
-    """All EUF models over the tiny vocabulary, as atom valuations.
+def _value(term, a, b, fresh, f):
+    if isinstance(term, Field):
+        return f[_value(term.base, a, b, fresh, f)]
+    if isinstance(term, Fresh):
+        return fresh
+    return {"a": a, "b": b}[term.name]
 
-    Enumerate which atoms hold, keeping only theory-consistent
-    combinations (checked via satisfiability of the literal conjunction).
+
+def _models():
+    """The atom valuations of every concrete EUF interpretation.
+
+    The pre-state domain has 1 to 3 elements; ``a`` and ``b`` denote
+    pre-state elements.  The fresh token denotes one more element of its
+    own, so it differs from every pre-state value.  The field ``f`` is a
+    total function: on pre-state elements it yields pre-state elements (a
+    field of a pre-state object is a pre-state value), and on the fresh
+    element it yields anything.
     """
-    models = []
-    for values in itertools.product([True, False], repeat=len(_ATOMS)):
-        literals = [
-            atom if value else neg(atom)
-            for atom, value in zip(_ATOMS, values)
-        ]
-        if satisfiable(conj(*literals)):
-            models.append(dict(zip(_ATOMS, values)))
-    return models
+    models = set()
+    for size in (1, 2, 3):
+        fresh = size
+        for a, b in itertools.product(range(size), repeat=2):
+            for prestate_f in itertools.product(range(size), repeat=size):
+                for fresh_f in range(size + 1):
+                    f = prestate_f + (fresh_f,)
+                    models.add(
+                        tuple(
+                            _value(atom.lhs, a, b, fresh, f)
+                            == _value(atom.rhs, a, b, fresh, f)
+                            for atom in _ATOMS
+                        )
+                    )
+    return [dict(zip(_ATOMS, values)) for values in sorted(models)]
 
 
 _MODELS = _models()
+
+
+def test_models_exercise_every_atom():
+    # the fresh token never equals a pre-state path; every other atom
+    # is both true and false in some interpretation
+    for atom in _ATOMS:
+        values = {model[atom] for model in _MODELS}
+        assert values == ({False} if atom == eq(_NU, _AF) else {True, False})
 
 
 def _eval(formula: Formula, model) -> bool:
@@ -102,6 +136,27 @@ def test_dnf_preserves_meaning(formula):
 def test_satisfiable_agrees_with_model_enumeration(formula):
     brute = any(_eval(formula, model) for model in _MODELS)
     assert satisfiable(formula) == brute
+
+
+def test_satisfiable_agrees_on_every_cube():
+    # every conjunction of literals over the vocabulary, in both atom
+    # orders, so congruence is exercised whichever side is asserted first
+    for choice in itertools.product((None, True, False), repeat=len(_ATOMS)):
+        literals = [
+            atom if value else neg(atom)
+            for atom, value in zip(_ATOMS, choice)
+            if value is not None
+        ]
+        brute = any(
+            all(
+                model[atom] == value
+                for atom, value in zip(_ATOMS, choice)
+                if value is not None
+            )
+            for model in _MODELS
+        )
+        assert satisfiable(conj(*literals)) == brute, literals
+        assert satisfiable(conj(*reversed(literals))) == brute, literals
 
 
 @settings(max_examples=60, deadline=None)
